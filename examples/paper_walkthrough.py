@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.comm import DedupCommunicator, build_comm_plan, measure_volumes
 from repro.graph import toy_graph
-from repro.hardware import A100_SERVER, MultiGPUPlatform, TimeBreakdown
+from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 from repro.partition import two_level_partition
 
 
@@ -68,12 +68,12 @@ def main() -> None:
     # Execute the plan on real vertex data and verify exactness.
     platform = MultiGPUPlatform(A100_SERVER)
     comm = DedupCommunicator(plan, platform)
-    clock = TimeBreakdown()
+    timeline = EventTimeline(barrier_all=True)
     host = np.arange(8, dtype=np.float64).reshape(8, 1) * 10.0
     comm.start_sweep(1)
     exact = True
     for j in range(plan.num_batches):
-        outputs = comm.load_batch_forward(j, host, clock)
+        outputs = comm.load_batch_forward(j, host, timeline)
         for i, out in enumerate(outputs):
             expected = host[plan.plans[j][i].needed]
             exact &= bool(np.array_equal(out, expected))

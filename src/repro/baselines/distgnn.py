@@ -27,7 +27,6 @@ timeline makespan, comparable task-for-task with the HongTu columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.hardware.clock import EventTimeline, TimeBreakdown
 from repro.hardware.memory import MemoryPool
 from repro.hardware.spec import CPUClusterSpec
 from repro.partition.metis import metis_partition
-from repro.runtime.task import Task, net_link
+from repro.runtime.task import net_link
 
 __all__ = ["DistGNNSimulator", "DistGNNEpochResult"]
 
@@ -47,15 +46,16 @@ __all__ = ["DistGNNSimulator", "DistGNNEpochResult"]
 @dataclass
 class DistGNNEpochResult:
     epoch: int
-    clock: TimeBreakdown
     peak_node_bytes: int
-    timeline: Optional[EventTimeline] = None
+    timeline: EventTimeline
+
+    @property
+    def clock(self) -> TimeBreakdown:
+        return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+        return self.timeline.makespan
 
 
 class DistGNNSimulator:
@@ -122,7 +122,7 @@ class DistGNNSimulator:
         slowdown = (1.0 / self.cluster.distributed_efficiency
                     if nodes > 1 else 1.0)
 
-        previous_layer: List[Task] = []
+        previous_layer = np.empty(0, dtype=np.int64)
         for l, layer in enumerate(self.model.layers):
             # Forward + backward + recompute ≈ 3x the layer's forward cost,
             # split evenly across nodes (METIS balances vertices/edges).
@@ -131,12 +131,11 @@ class DistGNNSimulator:
                 slowdown * layer_flops
                 / (nodes * self.cluster.compute_flops_per_node)
             )
-            compute_tasks = timeline.submit_phase(
+            compute_ids = timeline.submit_batch(
                 "cpu", [compute_seconds] * nodes,
-                devices=list(range(nodes)),
                 deps=previous_layer, label=f"cpu[l{l}]",
             )
-            previous_layer = compute_tasks
+            previous_layer = compute_ids
             if nodes > 1:
                 row_bytes = layer.in_dim * self.bytes_per_scalar
                 sync_seconds = [
@@ -144,19 +143,17 @@ class DistGNNSimulator:
                     / self.cluster.network_bandwidth
                     for node in range(nodes)
                 ]
-                sync_tasks = timeline.submit_phase(
+                previous_layer = timeline.submit_batch(
                     "net", sync_seconds,
                     devices=[net_link(node, node, nodes)
                              for node in range(nodes)],
-                    deps_by_device=compute_tasks,
+                    deps_by_device=compute_ids,
                     label=f"replica_sync[l{l}]",
                 )
-                previous_layer = sync_tasks
 
         self._epoch += 1
         peak = max(pool.peak for pool in self.node_pools)
-        return DistGNNEpochResult(self._epoch, timeline.breakdown, peak,
-                                  timeline=timeline)
+        return DistGNNEpochResult(self._epoch, peak, timeline)
 
     def train(self, num_epochs: int) -> list:
         return [self.train_epoch() for _ in range(num_epochs)]

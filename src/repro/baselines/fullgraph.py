@@ -42,15 +42,16 @@ __all__ = ["FullGraphTrainer", "FullGraphEpochResult"]
 class FullGraphEpochResult:
     epoch: int
     loss: float
-    clock: TimeBreakdown
     peak_gpu_bytes: int
-    timeline: Optional[EventTimeline] = None
+    timeline: EventTimeline
+
+    @property
+    def clock(self) -> TimeBreakdown:
+        return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+        return self.timeline.makespan
 
 
 class FullGraphTrainer:
@@ -116,8 +117,7 @@ class FullGraphTrainer:
         self._epoch += 1
         peak = (self.platform.gpus[0].memory.peak
                 if self.platform is not None else 0)
-        return FullGraphEpochResult(self._epoch, loss, timeline.breakdown,
-                                    peak, timeline=timeline)
+        return FullGraphEpochResult(self._epoch, loss, peak, timeline)
 
     def train(self, num_epochs: int) -> List[FullGraphEpochResult]:
         return [self.train_epoch() for _ in range(num_epochs)]

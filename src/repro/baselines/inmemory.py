@@ -42,15 +42,16 @@ __all__ = ["InMemoryMultiGPUTrainer", "InMemoryEpochResult"]
 class InMemoryEpochResult:
     epoch: int
     loss: float
-    clock: TimeBreakdown
     peak_gpu_bytes: int
-    timeline: Optional[EventTimeline] = None
+    timeline: EventTimeline
+
+    @property
+    def clock(self) -> TimeBreakdown:
+        return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+        return self.timeline.makespan
 
 
 class InMemoryMultiGPUTrainer:
@@ -130,11 +131,10 @@ class InMemoryMultiGPUTrainer:
             volume = 2 * self._remote_rows_per_gpu[i] * row_bytes \
                 * self.comm_overhead
             d2d_seconds.append(self.platform.d2d_seconds(volume))
-        timeline.submit_phase("d2d", d2d_seconds, label="boundary_sync")
+        timeline.submit_batch("d2d", d2d_seconds, label="boundary_sync")
 
         return InMemoryEpochResult(
-            self._epoch, loss, timeline.breakdown,
-            self.platform.peak_gpu_memory(), timeline=timeline,
+            self._epoch, loss, self.platform.peak_gpu_memory(), timeline,
         )
 
     def train(self, num_epochs: int) -> List[InMemoryEpochResult]:

@@ -107,17 +107,18 @@ class NeighborSampler:
 class MiniBatchEpochResult:
     epoch: int
     loss: float
-    clock: TimeBreakdown
     peak_gpu_bytes: int
     #: total sampled input-frontier vertices this epoch (explosion metric)
     frontier_vertices: int
-    timeline: Optional[EventTimeline] = None
+    timeline: EventTimeline
+
+    @property
+    def clock(self) -> TimeBreakdown:
+        return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+        return self.timeline.makespan
 
 
 class MiniBatchTrainer:
@@ -205,9 +206,8 @@ class MiniBatchTrainer:
         self._epoch += 1
         mean_loss = float(np.mean(losses)) if losses else 0.0
         return MiniBatchEpochResult(
-            self._epoch, mean_loss, timeline.breakdown,
-            self.platform.peak_gpu_memory(), frontier_total,
-            timeline=timeline,
+            self._epoch, mean_loss, self.platform.peak_gpu_memory(),
+            frontier_total, timeline,
         )
 
     def train(self, num_epochs: int) -> List[MiniBatchEpochResult]:

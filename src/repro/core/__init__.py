@@ -21,7 +21,6 @@ from repro.core.serialization import (
     save_training_state,
     load_training_state,
 )
-from repro.core.profiler import EpochProfiler, ProfileSummary
 
 __all__ = [
     "HongTuConfig", "ALLREDUCE_ALGORITHMS", "COMM_MODES",
@@ -30,5 +29,4 @@ __all__ = [
     "partition_host_bytes", "placement_host_bytes", "admits_placement",
     "HongTuTrainer", "EpochResult",
     "save_training_state", "load_training_state",
-    "EpochProfiler", "ProfileSummary",
 ]

@@ -169,9 +169,11 @@ class HongTuConfig:
                 f"topology must be one of {TOPOLOGY_KINDS}, "
                 f"got {self.topology!r}"
             )
-        if self.oversubscription < 1.0:
+        if not (np.isfinite(self.oversubscription)
+                and self.oversubscription >= 1.0):
             raise ConfigurationError(
-                f"oversubscription must be >= 1, got {self.oversubscription}"
+                f"oversubscription must be finite and >= 1, got "
+                f"{self.oversubscription}"
             )
         if self.placement not in PLACEMENT_POLICIES:
             raise ConfigurationError(
@@ -217,9 +219,10 @@ class HongTuConfig:
                     f"fault schedule invalid for {self.nodes} node(s): "
                     f"{error}"
                 ) from error
-        if self.rebalance_trigger <= 1.0:
+        if not (np.isfinite(self.rebalance_trigger)
+                and self.rebalance_trigger > 1.0):
             raise ConfigurationError(
-                f"rebalance_trigger must be > 1 (an epoch must run "
+                f"rebalance_trigger must be finite and > 1 (an epoch must run "
                 f"measurably slower than the faultless baseline to fire), "
                 f"got {self.rebalance_trigger}"
             )

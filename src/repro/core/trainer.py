@@ -108,9 +108,10 @@ class EpochResult:
 
     epoch: int
     loss: float
-    clock: TimeBreakdown
     peak_gpu_bytes: int
     host_bytes: int
+    #: the scheduled event timeline (the epoch's clock)
+    timeline: EventTimeline
     #: host→GPU bytes moved this epoch (forward loads + backward reloads)
     h2d_bytes: int = 0
     #: inter-GPU bytes moved this epoch
@@ -125,15 +126,16 @@ class EpochResult:
     migration_bytes: int = 0
     #: the elastic re-balance that preceded this epoch, if one fired
     rebalance: Optional[RebalanceEvent] = None
-    #: the scheduled event timeline (None for legacy/synthetic results)
-    timeline: Optional[EventTimeline] = None
+
+    @property
+    def clock(self) -> TimeBreakdown:
+        """Per-category seconds: the timeline's derived breakdown."""
+        return self.timeline.breakdown
 
     @property
     def epoch_seconds(self) -> float:
-        """Simulated wall time: timeline makespan (serialized sum if absent)."""
-        if self.timeline is not None:
-            return self.timeline.makespan
-        return self.clock.total
+        """Simulated wall time: the timeline's makespan."""
+        return self.timeline.makespan
 
     @property
     def pcie_bytes(self) -> int:
@@ -176,7 +178,7 @@ class HongTuTrainer:
                 f"model input dim {model.dims[0]} != feature dim "
                 f"{graph.feature_dim}"
             )
-        platform_nodes = getattr(platform, "num_nodes", 1)
+        platform_nodes = platform.num_nodes
         if config.nodes != platform_nodes:
             raise ConfigurationError(
                 f"config.nodes={config.nodes} but the platform has "
@@ -263,7 +265,7 @@ class HongTuTrainer:
         # swaps move checkpoint bytes between hosts of *different*
         # capacities there, so every move must clear the small node's
         # actual headroom.
-        hetero = getattr(platform, "heterogeneous", False)
+        hetero = platform.heterogeneous
         node_budgets = None
         per_partition_bytes = None
         if (config.max_imbalance > 0 or hetero) and platform_nodes > 1:
@@ -526,16 +528,15 @@ class HongTuTrainer:
         result = EpochResult(
             epoch=self._epoch,
             loss=loss,
-            clock=timeline.breakdown,
             peak_gpu_bytes=self.platform.peak_gpu_memory(),
             host_bytes=self.platform.host_in_use(),
+            timeline=timeline,
             h2d_bytes=h2d,
             d2d_bytes=d2d,
             d2h_bytes=d2h,
             net_bytes=net,
             migration_bytes=self._migration_net_bytes,
             rebalance=self._epoch_rebalance,
-            timeline=timeline,
         )
         self._finish_epoch(result)
         return result
@@ -1163,7 +1164,7 @@ class HongTuTrainer:
     # ------------------------------------------------------------------
     def _all_reduce_and_step(self, timeline: EventTimeline) -> None:
         param_bytes = self.model.parameter_nbytes()
-        nodes = getattr(self.platform, "num_nodes", 1)
+        nodes = self.platform.num_nodes
         if nodes == 1:
             m = self.plan.num_gpus
             if m > 1:

@@ -17,23 +17,22 @@ and ``d2h`` categories reproduces it. The paper's single-server runs never
 charge ``net``; the DistGNN baseline and the multi-node HongTu extension
 do.)
 
-Two concurrency models coexist:
-
-* :class:`TimeBreakdown` alone is the original barrier-synchronized
-  accounting — a phase's wall time is the max over GPUs
-  (:meth:`TimeBreakdown.add_parallel_phase`) and phases serialize.
-* :class:`EventTimeline` is the event-driven model: every charge becomes a
-  :class:`~repro.runtime.task.Task` on a per-device channel of an
-  :class:`~repro.runtime.scheduler.EventScheduler`, and the epoch time is
-  the critical-path makespan. The timeline still maintains a derived
-  :class:`TimeBreakdown` (per-phase bottleneck-device seconds), so Fig. 9
-  style component reports are identical under every overlap policy.
+There is one clock, :class:`EventTimeline`: every charge becomes a
+:class:`~repro.runtime.task.Task` on a per-device channel of an
+:class:`~repro.runtime.scheduler.EventScheduler`, and the epoch time is the
+critical-path makespan. ``EventTimeline(barrier_all=True)`` puts a global
+barrier after every phase, which is HongTu's barrier-synchronized
+accounting of Algorithms 1–3 (makespan == sum of per-phase maxima).
+:class:`TimeBreakdown` is the timeline's derived per-category view
+(:attr:`EventTimeline.breakdown`: each phase's bottleneck-device seconds),
+so Fig. 9 style component reports are identical under every overlap
+policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -64,33 +63,9 @@ class TimeBreakdown:
             raise ConfigurationError(f"negative time: {seconds}")
         self.seconds[category] += seconds
 
-    def add_parallel_phase(self, category: str,
-                           per_device_seconds: Iterable[Seconds]) -> None:
-        """Charge a barrier-synchronized phase: wall time = max over devices."""
-        values: List[Seconds] = list(per_device_seconds)
-        if values:
-            self.add(category, max(values))
-
-    def merge(self, other: "TimeBreakdown") -> None:
-        """Accumulate another breakdown into this one (serialized phases)."""
-        for category, seconds in other.seconds.items():
-            self.add(category, seconds)
-
     @property
     def total(self) -> Seconds:
         return sum(self.seconds.values())
-
-    @property
-    def pcie_seconds(self) -> Seconds:
-        """Both PCIe directions together (the paper's combined "H2D" bar)."""
-        return self.seconds["h2d"] + self.seconds["d2h"]
-
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        """A copy with every category multiplied by ``factor``."""
-        out = TimeBreakdown()
-        for category, seconds in self.seconds.items():
-            out.seconds[category] = seconds * factor
-        return out
 
     def as_dict(self) -> Dict[str, Seconds]:
         return dict(self.seconds)
@@ -128,50 +103,6 @@ class EventTimeline:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit_phase(self, category: str,
-                     per_device_seconds: Sequence[Seconds], *,
-                     channel: Optional[str] = None,
-                     devices: Optional[Sequence[int]] = None,
-                     deps: Sequence[Task] = (),
-                     deps_by_device: Optional[Sequence] = None,
-                     shared_by_device: Optional[Sequence] = None,
-                     label: str = "") -> List[Task]:
-        """Submit one parallel phase: one task per device.
-
-        ``deps`` apply to every task of the phase; ``deps_by_device[k]``
-        (a Task or an iterable of Tasks) additionally gates device k's task.
-        ``shared_by_device[k]`` is a sequence of ``(resource, hold)``
-        pairs device k's task occupies (topology contention — e.g. the
-        spine core). Returns the submitted tasks in device order.
-        """
-        values = list(per_device_seconds)
-        if not values:
-            return []
-        channel = channel or category
-        group = self._group
-        self._group += 1
-        tasks: List[Task] = []
-        for index, seconds in enumerate(values):
-            device = devices[index] if devices is not None else index
-            task_deps = list(deps)
-            if deps_by_device is not None:
-                extra = deps_by_device[index]
-                if isinstance(extra, Task):
-                    task_deps.append(extra)
-                elif extra is not None:
-                    task_deps.extend(extra)
-            shared = () if shared_by_device is None \
-                else shared_by_device[index]
-            tasks.append(self.scheduler.submit(
-                channel, device, seconds, deps=task_deps,
-                category=category, group=group, label=label,
-                shared=shared,
-            ))
-        self.breakdown.add(category, max(values))
-        if self.barrier_all:
-            self.scheduler.barrier()
-        return tasks
-
     def submit_batch(self, category: str,
                      per_device_seconds: Sequence[Seconds], *,
                      channel: Optional[str] = None,
@@ -180,14 +111,19 @@ class EventTimeline:
                      deps_by_device: Optional[Sequence] = None,
                      shared_by_device: Optional[Sequence] = None,
                      label: str = "") -> np.ndarray:
-        """Vectorized :meth:`submit_phase`: one wave, returns task ids.
+        """Submit one parallel phase (one task per device); returns task ids.
 
-        Semantics match ``submit_phase`` exactly (same dep ordering, same
-        breakdown charge, same barrier behavior) but the whole wave is
-        scheduled in one array step and dependencies are task-id arrays,
-        so no ``Task`` objects are materialized on the hot path. ``deps``
-        and each ``deps_by_device[k]`` entry may be id arrays, Tasks, or
-        iterables of either (``None`` entries are fine).
+        Task k runs ``per_device_seconds[k]`` on ``devices[k]`` (default:
+        device k) of ``channel`` (default: ``category``). ``deps`` gate
+        every task; ``deps_by_device[k]`` additionally gates task k (an
+        ``(m,)`` id array means one producer per device).
+        ``shared_by_device[k]`` is a sequence of ``(resource, hold)``
+        pairs task k occupies (topology contention — e.g. the spine
+        core). ``deps`` and each ``deps_by_device[k]`` entry may be id
+        arrays, Tasks, or iterables of either (``None`` entries are fine).
+        The whole wave is scheduled in one array step, so no ``Task``
+        objects are materialized on the hot path. The phase's
+        bottleneck-device seconds are charged to :attr:`breakdown`.
         """
         seconds = np.asarray(per_device_seconds, dtype=np.float64)
         if seconds.size == 0:
@@ -219,11 +155,6 @@ class EventTimeline:
         if self.barrier_all:
             self.scheduler.barrier()
         return ids
-
-    def add_parallel_phase(self, category: str,
-                           per_device_seconds: Iterable[Seconds]) -> None:
-        """Legacy phase API (device index == position, channel == category)."""
-        self.submit_phase(category, list(per_device_seconds))
 
     def add(self, category: str, seconds: Seconds, *,
             device: int = HOST_DEVICE, channel: Optional[str] = None,

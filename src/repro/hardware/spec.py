@@ -23,6 +23,7 @@ throughputs FLOP/s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -79,9 +80,11 @@ class NetworkTopology:
                 f"topology kind must be one of {TOPOLOGY_KINDS}, "
                 f"got {self.kind!r}"
             )
-        if self.oversubscription < 1.0:
+        if not (math.isfinite(self.oversubscription)
+                and self.oversubscription >= 1.0):
             raise ConfigurationError(
-                f"oversubscription must be >= 1, got {self.oversubscription}"
+                f"oversubscription must be finite and >= 1, got "
+                f"{self.oversubscription}"
             )
         if self.num_rails < 0:
             raise ConfigurationError(

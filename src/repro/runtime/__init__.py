@@ -1,16 +1,16 @@
 """Event-timeline execution engine.
 
-This subsystem replaces the barrier-serialized phase accounting of the
-original reproduction with a discrete-event model of the machine: every
-simulated action becomes a :class:`~repro.runtime.task.Task` on a
-per-device *channel* (compute queue, PCIe copy engines, NVLink engine, host
-accumulator), the :class:`~repro.runtime.scheduler.EventScheduler` resolves
-start times from channel availability + task dependencies + barriers, and
-the epoch time is the resulting critical-path makespan instead of the sum
-of phase maxima.
+This subsystem is the reproduction's only clock, a discrete-event model
+of the machine: every simulated action becomes a
+:class:`~repro.runtime.task.Task` on a per-device *channel* (compute
+queue, PCIe copy engines, NVLink engine, host accumulator), the
+:class:`~repro.runtime.scheduler.EventScheduler` resolves start times
+from channel availability + task dependencies + barriers, and the epoch
+time is the resulting critical-path makespan (the sum of phase maxima
+when a barrier follows every phase).
 
 The :class:`~repro.hardware.clock.EventTimeline` in ``hardware/clock.py``
-is the trainer-facing wrapper that combines a scheduler with the legacy
+is the trainer-facing wrapper that combines a scheduler with its derived
 :class:`~repro.hardware.clock.TimeBreakdown` category view.
 """
 

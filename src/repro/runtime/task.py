@@ -58,9 +58,10 @@ NET_DEVICE_BASE = -2
 #: node pairs contend once the core saturates
 SPINE_RESOURCE = ("net", "spine")
 
-#: epoch scheduling policies: ``barrier`` serializes phases exactly like the
-#: original TimeBreakdown accounting; ``pipeline`` lets independent channels
-#: overlap (prefetching batch j+1's host loads under batch j's compute).
+#: epoch scheduling policies: ``barrier`` puts a global barrier after every
+#: phase (the paper's barrier-synchronized Algorithms 1-3: makespan == sum
+#: of per-phase maxima); ``pipeline`` lets independent channels overlap
+#: (prefetching batch j+1's host loads under batch j's compute).
 OVERLAP_POLICIES = ("barrier", "pipeline")
 
 

@@ -124,7 +124,7 @@ class ServingEngine:
             self.plan, self.platform, self.config.bytes_per_scalar
         )
         self._costs: Dict[Tuple[int, int], _ColumnLayerCosts] = {}
-        self._rates_version = getattr(self.platform, "rates_version", 0)
+        self._rates_version = self.platform.rates_version
         self._gpu_ids = np.arange(self.plan.num_gpus, dtype=np.int64)
         #: warm (layer, column) pairs in LRU order — data movement is
         #: free for these; the value is the pair's host footprint
@@ -334,7 +334,7 @@ class ServingEngine:
         ``rates_version`` is stable, so this is one integer compare.
         """
         plan_changed = self.plan is not self.trainer.plan
-        version = getattr(self.platform, "rates_version", 0)
+        version = self.platform.rates_version
         if not plan_changed and version == self._rates_version:
             return
         if plan_changed:

@@ -20,6 +20,7 @@ from repro.hardware import (
     CPU_NODE,
     MultiGPUPlatform,
 )
+from repro.runtime import EventScheduler
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,20 @@ def graph():
 def make_model(graph, arch="gcn", layers=2, hidden=16, seed=0):
     dims = [graph.feature_dim] + [hidden] * (layers - 1) + [graph.num_classes]
     return build_model(arch, dims, np.random.default_rng(seed))
+
+
+@pytest.fixture(params=[True, False], ids=["batched-core", "scalar-core"])
+def scheduler_core(request, monkeypatch):
+    monkeypatch.setattr(EventScheduler, "vectorized", request.param)
+    return request.param
+
+
+def remote_rows(graph, assignment, parts):
+    """Per part, the distinct remote source vertices its edges read."""
+    src, dst = graph.edge_arrays()
+    remote = assignment[src] != assignment[dst]
+    return [len(np.unique(src[remote & (assignment[dst] == part)]))
+            for part in range(parts)]
 
 
 class TestFullGraphTrainer:
@@ -94,6 +109,27 @@ class TestInMemoryTrainer:
         )
         assert trainer.train_epoch().clock.seconds["d2d"] > 0
 
+    def test_makespan_closed_form(self, graph, scheduler_core):
+        """Kernels, a barrier, then the boundary sync: makespan == the
+        gpu charge + the slowest GPU's d2d charge."""
+        model = make_model(graph)
+        platform = MultiGPUPlatform(A100_SERVER)
+        trainer = InMemoryMultiGPUTrainer(graph, model, platform)
+        result = trainer.train_epoch()
+
+        m = platform.num_gpus
+        block = trainer.block
+        flops = model.forward_flops(block.num_src, block.num_dst,
+                                    block.num_edges)
+        gpu = platform.gpu_compute_seconds(3 * flops / m)
+        row_bytes = sum(layer.in_dim * 4 for layer in model.layers)
+        d2d = [platform.d2d_seconds(2 * rows * row_bytes)
+               for rows in remote_rows(graph, trainer.assignment, m)]
+        assert result.clock.seconds["gpu"] == gpu
+        assert result.clock.seconds["d2d"] == max(d2d)
+        assert result.epoch_seconds == gpu + max(d2d)
+        result.timeline.validate()
+
 
 class TestDistGNN:
     def test_compute_scales_with_nodes(self, graph):
@@ -144,6 +180,33 @@ class TestDistGNN:
         cluster = DistGNNSimulator(graph, make_model(graph),
                                    CPU_NODE.with_num_nodes(16))
         assert np.isclose(cluster.hourly_cost_usd(), 16 * 5.24)
+
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_makespan_closed_form(self, graph, scheduler_core, nodes):
+        """Bulk-synchronous layers: makespan == sum over layers of the
+        per-node compute plus the slowest node's replica sync (no sync
+        on one node)."""
+        model = make_model(graph)
+        cluster = CPU_NODE.with_num_nodes(nodes)
+        simulator = DistGNNSimulator(graph, model, cluster)
+        result = simulator.train_epoch()
+
+        n, e = graph.num_vertices, graph.num_edges
+        slowdown = 1.0 / cluster.distributed_efficiency if nodes > 1 else 1.0
+        rows = remote_rows(graph, simulator.assignment, nodes)
+        expected = 0.0
+        for layer in model.layers:
+            expected += (slowdown * 3 * layer.forward_flops(n, n, e)
+                         / (nodes * cluster.compute_flops_per_node))
+            if nodes > 1:
+                expected += max(
+                    slowdown * 2 * count * layer.in_dim * 4
+                    / cluster.network_bandwidth
+                    for count in rows
+                )
+        assert result.epoch_seconds == expected
+        assert (result.clock.seconds["net"] > 0) == (nodes > 1)
+        result.timeline.validate()
 
 
 class TestNeighborSampler:

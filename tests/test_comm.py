@@ -13,7 +13,7 @@ from repro.comm import (
 )
 from repro.errors import CommunicationPlanError, ConfigurationError
 from repro.graph import load_dataset
-from repro.hardware import A100_SERVER, MultiGPUPlatform, TimeBreakdown
+from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 from repro.partition import two_level_partition
 
 MODES = [
@@ -166,10 +166,10 @@ class TestVolumes:
                                    dedup_intra=intra)
             platform = MultiGPUPlatform(A100_SERVER)
             comm = DedupCommunicator(plan, platform)
-            clock = TimeBreakdown()
+            timeline = EventTimeline(barrier_all=True)
             comm.start_sweep(dim)
             for j in range(plan.num_batches):
-                comm.load_batch_forward(j, host, clock)
+                comm.load_batch_forward(j, host, timeline)
             comm.end_sweep()
             assert comm.bytes_moved["h2d"] == expected_rows * dim * 4
 
@@ -179,12 +179,12 @@ class TestExecutor:
         plan = build_comm_plan(partitioned)
         platform = MultiGPUPlatform(A100_SERVER)
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        timeline = EventTimeline(barrier_all=True)
         rng = np.random.default_rng(0)
         host = rng.standard_normal((partitioned.graph.num_vertices, 6))
         comm.start_sweep(6)
         for j in range(plan.num_batches):
-            outputs = comm.load_batch_forward(j, host, clock)
+            outputs = comm.load_batch_forward(j, host, timeline)
             for i, out in enumerate(outputs):
                 np.testing.assert_array_equal(
                     out, host[plan.plans[j][i].needed]
@@ -198,7 +198,7 @@ class TestExecutor:
                                dedup_intra=intra)
         platform = MultiGPUPlatform(A100_SERVER)
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        timeline = EventTimeline(barrier_all=True)
         rng = np.random.default_rng(1)
         n = partitioned.graph.num_vertices
         host_grads = np.zeros((n, 3))
@@ -211,7 +211,7 @@ class TestExecutor:
                 g = rng.standard_normal((len(needed), 3))
                 np.add.at(expected, needed, g)
                 grads.append(g)
-            comm.accumulate_batch_backward(j, grads, host_grads, clock)
+            comm.accumulate_batch_backward(j, grads, host_grads, timeline)
         comm.end_sweep()
         np.testing.assert_allclose(host_grads, expected, atol=1e-12)
 
@@ -219,12 +219,12 @@ class TestExecutor:
         plan = build_comm_plan(partitioned)
         platform = MultiGPUPlatform(A100_SERVER)
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        timeline = EventTimeline(barrier_all=True)
         host = np.zeros((partitioned.graph.num_vertices, 4))
         comm.start_sweep(4)
-        comm.load_batch_forward(0, host, clock)
+        comm.load_batch_forward(0, host, timeline)
         comm.end_sweep()
-        assert clock.seconds["h2d"] > 0
+        assert timeline.seconds["h2d"] > 0
 
     def test_transition_buffers_registered_in_pools(self, partitioned):
         plan = build_comm_plan(partitioned)
@@ -241,7 +241,7 @@ class TestExecutor:
         comm = DedupCommunicator(plan, platform)
         with pytest.raises(CommunicationPlanError):
             comm.load_batch_forward(0, np.zeros((10, 4)),
-                                    TimeBreakdown())
+                                    EventTimeline(barrier_all=True))
         comm.start_sweep(4)
         with pytest.raises(CommunicationPlanError):
             comm.start_sweep(4)
@@ -256,7 +256,7 @@ class TestExecutor:
         with pytest.raises(CommunicationPlanError):
             comm.accumulate_batch_backward(
                 0, grads, np.zeros((partitioned.graph.num_vertices, 4)),
-                TimeBreakdown(),
+                EventTimeline(barrier_all=True),
             )
         comm.end_sweep()
 

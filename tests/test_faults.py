@@ -175,8 +175,9 @@ class TestConfigFaults:
             HongTuConfig(nodes=2, faults=["death:node=0,at=1"])
 
     def test_rejects_trivial_trigger(self):
-        with pytest.raises(ConfigurationError, match="rebalance_trigger"):
-            HongTuConfig(rebalance_trigger=1.0)
+        for trigger in (1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="rebalance_trigger"):
+                HongTuConfig(rebalance_trigger=trigger)
 
     def test_dict_round_trip_with_schedule(self):
         config = HongTuConfig(

@@ -8,6 +8,7 @@ from repro.hardware import (
     A100_SERVER,
     CPU_NODE,
     ECS_CLUSTER,
+    EventTimeline,
     GB,
     MemoryPool,
     MultiGPUPlatform,
@@ -135,31 +136,22 @@ class TestTimeBreakdown:
             TimeBreakdown().add("gpu", -1.0)
 
     def test_parallel_phase_takes_max(self):
-        clock = TimeBreakdown()
-        clock.add_parallel_phase("d2d", [1.0, 5.0, 2.0])
-        assert clock.seconds["d2d"] == 5.0
+        """The timeline's category view charges a phase's bottleneck
+        device, phase after phase, whatever the overlap."""
+        timeline = EventTimeline()
+        timeline.submit_batch("d2d", [1.0, 5.0, 2.0])
+        timeline.submit_batch("d2d", [3.0], devices=[7])
+        assert isinstance(timeline.breakdown, TimeBreakdown)
+        assert timeline.breakdown.seconds["d2d"] == 8.0
 
     def test_parallel_phase_empty(self):
-        clock = TimeBreakdown()
-        clock.add_parallel_phase("d2d", [])
-        assert clock.total == 0.0
-
-    def test_merge(self):
-        a = TimeBreakdown()
-        a.add("gpu", 1.0)
-        b = TimeBreakdown()
-        b.add("gpu", 2.0)
-        b.add("cpu", 1.0)
-        a.merge(b)
-        assert a.seconds["gpu"] == 3.0
-        assert a.seconds["cpu"] == 1.0
-
-    def test_scaled(self):
-        clock = TimeBreakdown()
-        clock.add("gpu", 2.0)
-        doubled = clock.scaled(2.0)
-        assert doubled.seconds["gpu"] == 4.0
-        assert clock.seconds["gpu"] == 2.0
+        timeline = EventTimeline(barrier_all=True)
+        timeline.submit_batch("gpu", [1.0, 2.0])
+        assert len(timeline.submit_batch("gpu", [])) == 0
+        assert timeline.scheduler.num_tasks == 2
+        assert timeline.seconds["gpu"] == 2.0
+        assert timeline.breakdown.total == 2.0
+        assert timeline.makespan == 2.0
 
     def test_as_dict_copy(self):
         clock = TimeBreakdown()

@@ -509,6 +509,7 @@ class TestNodeUtilizationClampMarker:
     class _Platform:
         num_nodes = 2
         num_rails = 1
+        heterogeneous = False
 
         def node_of(self, device):
             return 0 if device < 4 else 1

@@ -14,7 +14,7 @@ from repro.comm import DedupCommunicator, build_comm_plan, measure_volumes
 from repro.core import HongTuConfig, HongTuTrainer
 from repro.gnn import build_model
 from repro.graph import Graph
-from repro.hardware import A100_SERVER, MultiGPUPlatform, TimeBreakdown
+from repro.hardware import A100_SERVER, EventTimeline, MultiGPUPlatform
 
 
 @st.composite
@@ -97,7 +97,7 @@ class TestCommPlanProperties:
 
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=max(m, 1))
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        timeline = EventTimeline(barrier_all=True)
         rng = np.random.default_rng(1)
         host = rng.standard_normal((graph.num_vertices, 3))
         grads_expected = np.zeros_like(host)
@@ -105,7 +105,7 @@ class TestCommPlanProperties:
 
         comm.start_sweep(3)
         for j in range(plan.num_batches):
-            outputs = comm.load_batch_forward(j, host, clock)
+            outputs = comm.load_batch_forward(j, host, timeline)
             for i, out in enumerate(outputs):
                 np.testing.assert_array_equal(
                     out, host[plan.plans[j][i].needed]
@@ -118,7 +118,7 @@ class TestCommPlanProperties:
                 np.add.at(grads_expected, needed, g)
                 batch_grads.append(g)
             comm.accumulate_batch_backward(j, batch_grads, grads_actual,
-                                           clock)
+                                           timeline)
         comm.end_sweep()
         np.testing.assert_allclose(grads_actual, grads_expected, atol=1e-10)
 
@@ -135,11 +135,11 @@ class TestCommPlanProperties:
         plan = build_comm_plan(partition)
         platform = MultiGPUPlatform(A100_SERVER, num_gpus=max(m, 1))
         comm = DedupCommunicator(plan, platform)
-        clock = TimeBreakdown()
+        timeline = EventTimeline(barrier_all=True)
         host = np.zeros((graph.num_vertices, 2))
         comm.start_sweep(2)
         for j in range(plan.num_batches):
-            comm.load_batch_forward(j, host, clock)
+            comm.load_batch_forward(j, host, timeline)
         comm.end_sweep()
         assert comm.bytes_moved["h2d"] == volumes.v_ru * 2 * 4
 

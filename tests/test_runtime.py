@@ -258,44 +258,45 @@ class TestVectorizedScheduler:
 class TestEventTimeline:
     def test_barrier_all_makespan_equals_serialized_sum(self):
         timeline = EventTimeline(barrier_all=True)
-        timeline.submit_phase("h2d", [1.0, 2.0])
-        timeline.submit_phase("gpu", [3.0, 1.0])
+        timeline.submit_batch("h2d", [1.0, 2.0])
+        timeline.submit_batch("gpu", [3.0, 1.0])
         timeline.add("cpu", 0.5)
         assert timeline.makespan == pytest.approx(2.0 + 3.0 + 0.5)
         assert timeline.makespan == pytest.approx(timeline.breakdown.total)
 
     def test_phase_breakdown_charges_max(self):
         timeline = EventTimeline()
-        timeline.submit_phase("d2d", [1.0, 5.0, 2.0])
+        timeline.submit_batch("d2d", [1.0, 5.0, 2.0])
         assert timeline.seconds["d2d"] == 5.0
 
     def test_unfenced_phases_overlap(self):
         timeline = EventTimeline(barrier_all=False)
-        timeline.submit_phase("h2d", [2.0])
-        timeline.submit_phase("gpu", [2.0])
+        timeline.submit_batch("h2d", [2.0])
+        timeline.submit_batch("gpu", [2.0])
         assert timeline.makespan == 2.0
         assert timeline.breakdown.total == 4.0
         assert timeline.overlap_saving() == 2.0
 
     def test_deps_by_device_wiring(self):
         timeline = EventTimeline()
-        loads = timeline.submit_phase("h2d", [1.0, 4.0])
-        kernels = timeline.submit_phase("gpu", [1.0, 1.0],
+        loads = timeline.submit_batch("h2d", [1.0, 4.0])
+        kernels = timeline.submit_batch("gpu", [1.0, 1.0],
                                         deps_by_device=loads)
-        assert kernels[0].start == 1.0
-        assert kernels[1].start == 4.0
+        tasks = timeline.scheduler.tasks
+        assert tasks[int(kernels[0])].start == 1.0
+        assert tasks[int(kernels[1])].start == 4.0
         timeline.validate()
 
     def test_legacy_add_parallel_phase(self):
         timeline = EventTimeline(barrier_all=True)
-        timeline.add_parallel_phase("gpu", [1.0, 2.0])
-        timeline.add_parallel_phase("gpu", [])
+        timeline.submit_batch("gpu", [1.0, 2.0])
+        timeline.submit_batch("gpu", [])
         assert timeline.seconds["gpu"] == 2.0
         assert timeline.makespan == 2.0
 
     def test_busy_view_sums_devices(self):
         timeline = EventTimeline()
-        timeline.submit_phase("gpu", [1.0, 2.0, 3.0])
+        timeline.submit_batch("gpu", [1.0, 2.0, 3.0])
         assert timeline.busy_view()["gpu"] == 6.0
 
 

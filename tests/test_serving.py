@@ -124,6 +124,15 @@ class TestArrivals:
         with pytest.raises(ServingError):
             BurstyArrivals(10.0, 1.0, burst_size=0)
 
+    def test_non_finite_rate_or_duration_rejected(self):
+        """NaN slips past ordered comparisons (it used to serve zero
+        requests); an infinite rate or horizon never stops generating."""
+        for rate, duration in ((float("nan"), 0.5), (float("inf"), 0.5),
+                               (10.0, float("nan")), (10.0, float("inf"))):
+            for kind in ("poisson", "bursty"):
+                with pytest.raises(ServingError, match="must be finite"):
+                    build_arrivals(kind, rate=rate, duration=duration)
+
 
 # ---------------------------------------------------------------------------
 # admission policies (property tests on randomized traces)

@@ -36,7 +36,6 @@ from repro.hardware import (
     EventTimeline,
     MultiGPUPlatform,
     NetworkTopology,
-    TimeBreakdown,
 )
 from repro.partition import (
     halo_load_volumes,
@@ -81,8 +80,9 @@ class TestNetworkTopologySpec:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             NetworkTopology("torus")
-        with pytest.raises(ValueError):
-            NetworkTopology("spine", oversubscription=0.5)
+        for factor in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                NetworkTopology("spine", oversubscription=factor)
         with pytest.raises(ValueError):
             NetworkTopology("rail", num_rails=-1)
 
@@ -273,8 +273,11 @@ class TestTopologyTrainer:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             HongTuConfig(topology="hypercube", nodes=2)
-        with pytest.raises(ConfigurationError):
-            HongTuConfig(topology="spine", oversubscription=0.5, nodes=2)
+        for factor in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError,
+                               match="oversubscription must be finite"):
+                HongTuConfig(topology="spine", oversubscription=factor,
+                             nodes=2)
         with pytest.raises(ConfigurationError):
             HongTuConfig(topology="spine", nodes=1)
 
@@ -309,18 +312,18 @@ class TestHaloCrossCheck:
         dim = 16
         host = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, dim))
-        clock = TimeBreakdown()
+        timeline = EventTimeline(barrier_all=True)
         comm.start_sweep(dim)
         outputs = []
         for j in range(plan.num_batches):
-            outputs.append(comm.load_batch_forward(j, host, clock))
-        return partition, plan, comm, dim, host, clock, outputs
+            outputs.append(comm.load_batch_forward(j, host, timeline))
+        return partition, plan, comm, dim, host, timeline, outputs
 
     def test_fetch_bytes_match_halo_volumes(self):
         """The halo_volumes docstring contract: the executor's emitted
         forward fetch bytes equal halo_volumes x row_bytes per node
         pair (full dedup: every staged row lives on its owner)."""
-        partition, plan, comm, dim, _host, _clock, _out = \
+        partition, plan, comm, dim, _host, _timeline, _out = \
             self.setup_sweep(dedup_inter=True)
         comm.end_sweep()
         row_bytes = dim * comm.bytes_per_scalar
@@ -338,12 +341,12 @@ class TestHaloCrossCheck:
         """Self-staging modes: the executor's halo_load split equals the
         reuse-aware halo_load_volumes, and the backward halo_flush total
         mirrors the load total."""
-        partition, plan, comm, dim, host, clock, outputs = \
+        partition, plan, comm, dim, host, timeline, outputs = \
             self.setup_sweep(dedup_inter=False)
         grads = np.zeros_like(host)
         for j in range(plan.num_batches):
             comm.accumulate_batch_backward(
-                j, [out.copy() for out in outputs[j]], grads, clock)
+                j, [out.copy() for out in outputs[j]], grads, timeline)
         comm.end_sweep()
         row_bytes = dim * comm.bytes_per_scalar
         expected = halo_load_volumes(partition, 2)
