@@ -5,9 +5,10 @@ product (VJP) closure on the output tensor. The op set covers the needs of
 GNN training:
 
 * dense ops — ``matmul``, elementwise arithmetic, activations, reductions;
-* irregular ops — ``gather_rows`` (neighbor lookup), ``scatter_add_rows``
-  (gradient accumulation along out-edges), ``segment_sum`` and
-  ``segment_softmax`` (per-destination edge reductions used by GAT);
+* irregular ops — ``spmm`` (constant-coefficient neighbor aggregation),
+  ``gather_rows`` (neighbor lookup), ``scatter_add_rows`` (gradient
+  accumulation along out-edges), ``segment_sum`` and ``segment_softmax``
+  (per-destination edge reductions used by GAT);
 * utility ops — ``concat``, ``dropout``, ``reshape``, ``transpose``.
 
 Broadcasting follows numpy semantics; :func:`_unbroadcast` reduces an output
@@ -27,8 +28,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_", "matmul",
     "relu", "leaky_relu", "sigmoid", "tanh", "exp", "log",
     "sum_", "mean", "reshape", "transpose", "concat",
-    "gather_rows", "scatter_add_rows", "segment_sum", "segment_softmax",
-    "dropout", "slice_rows", "softmax", "log_softmax", "elu",
+    "spmm", "gather_rows", "scatter_add_rows", "segment_sum",
+    "segment_softmax", "dropout", "slice_rows", "softmax", "log_softmax", "elu",
 ]
 
 
@@ -323,6 +324,22 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 # ----------------------------------------------------------------------
 # irregular (graph) ops
 # ----------------------------------------------------------------------
+
+def spmm(operator, a: Tensor) -> Tensor:
+    """Sparse-dense product ``operator @ a`` with a constant sparse operator.
+
+    This is the cuSPARSE-style SpMM of linear aggregation: no per-edge
+    message array is materialized. The VJP is ``operator.T @ grad``; for a
+    scipy CSR operator the transpose is a CSC view over the same arrays,
+    which scatters the adjoint in the operator's stored order.
+    """
+    a = Tensor.as_tensor(a)
+
+    def backward(grad: np.ndarray) -> None:
+        a.accumulate_grad(operator.T @ grad)
+
+    return Tensor.from_op(operator @ a.data, (a,), backward, name="spmm")
+
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Row lookup ``a[index]`` — the edge-source gather of GNN aggregation.

@@ -171,6 +171,15 @@ def build_comm_plan(partition: TwoLevelPartition,
                 transition, reuse_mask, position_of[i], free_slots[i],
                 next_slot, i,
             )
+            # The executor scatters gradients with a plain indexed +=,
+            # which is exact only if no vertex or buffer slot repeats
+            # (transition sets are drawn from the sorted needed sets).
+            if (np.any(np.diff(needed_sets[i]) <= 0)
+                    or len(np.unique(positions)) != len(positions)):
+                raise CommunicationPlanError(
+                    f"GPU {i} batch {j}: needed vertices or transition "
+                    f"buffer positions repeat"
+                )
             batch_plans.append(BatchGpuPlan(
                 gpu=i, batch=j,
                 needed=needed_sets[i],

@@ -1079,7 +1079,8 @@ class HongTuTrainer:
                     np.zeros_like(agg_data)
                 grads = layer.aggregate_backward(block, grad_agg)
                 if layer.update_uses_self and h_dst_t.grad is not None:
-                    np.add.at(grads, block.dst_pos, h_dst_t.grad)
+                    # dst_pos never repeats a row (Block checks it).
+                    grads[block.dst_pos] += h_dst_t.grad
                 neighbor_grads.append(grads)
 
             flops = (3 * layer.update_flops(block.num_dst)
@@ -1254,7 +1255,9 @@ class HongTuTrainer:
             )
         elif allocation.nbytes != nbytes:
             allocation.resize(nbytes)
-        self._checkpoints[key] = data.copy()
+        # ``data`` is a fresh aggregate output that nothing else writes,
+        # so it is kept without a copy.
+        self._checkpoints[key] = data
 
     def _take_checkpoint(self, l: int, i: int, j: int) -> np.ndarray:
         key = (l, i, j)

@@ -17,10 +17,11 @@ computation engine" (§6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
@@ -39,12 +40,15 @@ class Block:
         edge's source.
     edge_dst:
         (E,) local output row (0..num_dst) of each edge's destination. Edges
-        are destination-major sorted.
+        are destination-major sorted (checked: ``edge_dst`` is
+        non-decreasing).
     num_dst, num_src:
         Output/input row counts.
     dst_pos:
         (num_dst,) for each destination, the input row holding that same
         vertex's representation (for UPDATE terms like GAT's ``W h_v``).
+        Distinct destinations hold distinct rows (checked), so gradients
+        scatter back with a plain indexed ``+=``.
     edge_weight:
         Optional (E,) constant per-edge weights (GCN normalization). These
         are *globally* computed constants, so chunked execution matches
@@ -62,6 +66,8 @@ class Block:
     edge_weight: Optional[np.ndarray] = None
     src_global: Optional[np.ndarray] = None
     dst_global: Optional[np.ndarray] = None
+    _operators: Dict[object, sparse.csr_matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.edge_src = np.asarray(self.edge_src, dtype=np.int64)
@@ -73,10 +79,14 @@ class Block:
             raise GraphFormatError("edge_src out of range")
         if len(self.edge_dst) and self.edge_dst.max() >= self.num_dst:
             raise GraphFormatError("edge_dst out of range")
+        if np.any(self.edge_dst[1:] < self.edge_dst[:-1]):
+            raise GraphFormatError("edges must be destination-major sorted")
         if len(self.dst_pos) != self.num_dst:
             raise GraphFormatError("dst_pos must have num_dst entries")
         if self.num_dst and len(self.dst_pos) and self.dst_pos.max() >= self.num_src:
             raise GraphFormatError("dst_pos out of range")
+        if len(np.unique(self.dst_pos)) != len(self.dst_pos):
+            raise GraphFormatError("dst_pos must not repeat a row")
         if self.edge_weight is not None and len(self.edge_weight) != len(self.edge_src):
             raise GraphFormatError("edge_weight must be parallel to edges")
 
@@ -107,6 +117,31 @@ class Block:
     def in_degrees(self) -> np.ndarray:
         """Per-destination in-degree within this block."""
         return np.bincount(self.edge_dst, minlength=self.num_dst)
+
+    def sum_operator(self, dtype, weighted: bool = False) -> sparse.csr_matrix:
+        """Cached ``num_dst × num_src`` CSR operator of the edge sum.
+
+        Row ``v`` sums destination ``v``'s in-edges in edge order, scaled
+        by ``edge_weight`` when ``weighted`` and the block has weights,
+        else by ones in ``dtype`` (so unweighted sums keep the input's
+        precision). ``op @ h`` and ``op.T @ g`` (scipy's CSC view over
+        the same arrays) thus add in the same order as a per-edge
+        ``np.add.at``, bit for bit. The operator shares ``edge_weight``;
+        scipy keeps an int32 copy of the indices when they fit.
+        """
+        weighted = weighted and self.edge_weight is not None
+        key = "weighted" if weighted else np.dtype(dtype)
+        operator = self._operators.get(key)
+        if operator is None:
+            data = (self.edge_weight if weighted
+                    else np.ones(self.num_edges, dtype=dtype))
+            indptr = np.concatenate(([0], np.cumsum(self.in_degrees())))
+            operator = sparse.csr_matrix(
+                (data, self.edge_src, indptr),
+                shape=(self.num_dst, self.num_src), copy=False,
+            )
+            self._operators[key] = operator
+        return operator
 
     def __repr__(self) -> str:
         return (

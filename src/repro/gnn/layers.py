@@ -20,6 +20,12 @@ AGGREGATE is linear in ``h`` with constant coefficients) and False for GAT
 (parameterized per-edge attention with O(|E|) intermediates — cheaper to
 recompute than to cache, Fig. 4 b).
 
+Linear aggregates run as one SpMM with the block's cached CSR operator
+(:meth:`Block.sum_operator`), the way the paper's cuSPARSE kernels do: the
+numpy path never materializes per-edge messages for them. Only GAT, whose
+per-edge attention coefficients change on every call, keeps a per-edge
+gather/scatter.
+
 Flop accounting is split into :meth:`aggregate_flops` / :meth:`update_flops`
 so the simulated clock can price the hybrid backward (recompute UPDATE only)
 differently from the full recompute backward.
@@ -99,30 +105,40 @@ class GNNLayer(Module):
                                   num_edges: int) -> int:
         """Transient scalars resident during one chunk-layer forward.
 
-        This models the paper's CUDA implementation (cuSparse SpMM does not
-        materialize per-edge messages for linear aggregates), not the numpy
-        execution path — the simulated memory pools charge these analytic
-        sizes.
+        This models the paper's CUDA implementation: cuSparse SpMM does not
+        materialize per-edge messages for linear aggregates, and neither
+        does the numpy path, which runs the same SpMM. The simulated memory
+        pools charge these analytic sizes.
         """
         return num_dst * (self.aggregate_dim() + self.out_dim)
 
 
-def _weighted_messages(block: Block, h: Tensor) -> Tensor:
-    """Per-edge messages h[src] (scaled by edge weights when present)."""
-    messages = ops.gather_rows(h, block.edge_src)
-    if block.edge_weight is not None:
-        weights = Tensor(block.edge_weight.reshape(-1, 1))
-        messages = ops.mul(messages, weights)
-    return messages
+def _inv_degree(block: Block) -> np.ndarray:
+    """(num_dst, 1) reciprocal in-degrees (1 for isolated destinations)."""
+    return (1.0 / np.maximum(block.in_degrees(), 1)).reshape(-1, 1)
+
+
+def _mean_aggregate(block: Block, h: Tensor) -> Tensor:
+    """Degree-normalized neighbor mean."""
+    total = ops.spmm(block.sum_operator(h.dtype), h)
+    return ops.mul(total, Tensor(_inv_degree(block)))
+
+
+def _sum_aggregate_backward(block: Block, grad_agg: np.ndarray,
+                            weighted: bool = False,
+                            row_scale: Optional[np.ndarray] = None) -> np.ndarray:
+    """Adjoint of the neighbor sum (edge-weighted and/or row-scaled).
+
+    Returns ∇h in ``grad_agg``'s dtype.
+    """
+    grad = grad_agg if row_scale is None else grad_agg * row_scale
+    operator = block.sum_operator(grad.dtype, weighted=weighted)
+    return (operator.T @ grad).astype(grad_agg.dtype, copy=False)
 
 
 def _mean_aggregate_backward(block: Block, grad_agg: np.ndarray) -> np.ndarray:
     """Shared adjoint for degree-normalized mean aggregation."""
-    inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-    grad_messages = (grad_agg * inv_deg.reshape(-1, 1))[block.edge_dst]
-    grad_h = np.zeros((block.num_src, grad_agg.shape[1]), dtype=grad_agg.dtype)
-    np.add.at(grad_h, block.edge_src, grad_messages)
-    return grad_h
+    return _sum_aggregate_backward(block, grad_agg, row_scale=_inv_degree(block))
 
 
 class GCNLayer(GNNLayer):
@@ -143,8 +159,7 @@ class GCNLayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = _weighted_messages(block, h)
-        return ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
+        return ops.spmm(block.sum_operator(h.dtype, weighted=True), h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = self.linear(agg)
@@ -153,12 +168,7 @@ class GCNLayer(GNNLayer):
         return out
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
-        grad_messages = grad_agg[block.edge_dst]
-        if block.edge_weight is not None:
-            grad_messages = grad_messages * block.edge_weight.reshape(-1, 1)
-        grad_h = np.zeros((block.num_src, grad_agg.shape[1]), dtype=grad_agg.dtype)
-        np.add.at(grad_h, block.edge_src, grad_messages)
-        return grad_h
+        return _sum_aggregate_backward(block, grad_agg, weighted=True)
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         return 2 * num_edges * self.in_dim
@@ -180,10 +190,7 @@ class GraphSAGELayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = ops.gather_rows(h, block.edge_src)
-        total = ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
-        inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-        return ops.mul(total, Tensor(inv_deg.reshape(-1, 1)))
+        return _mean_aggregate(block, h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = self.linear(ops.concat([h_dst, agg], axis=1))
@@ -219,8 +226,7 @@ class GINLayer(GNNLayer):
         self._hidden = hidden
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = ops.gather_rows(h, block.edge_src)
-        return ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
+        return ops.spmm(block.sum_operator(h.dtype), h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         one_plus_eps = ops.add(self.epsilon, Tensor(np.ones(1)))
@@ -231,9 +237,7 @@ class GINLayer(GNNLayer):
         return out
 
     def aggregate_backward(self, block: Block, grad_agg: np.ndarray) -> np.ndarray:
-        grad_h = np.zeros((block.num_src, grad_agg.shape[1]), dtype=grad_agg.dtype)
-        np.add.at(grad_h, block.edge_src, grad_agg[block.edge_dst])
-        return grad_h
+        return _sum_aggregate_backward(block, grad_agg)
 
     def aggregate_flops(self, num_src: int, num_dst: int, num_edges: int) -> int:
         return 2 * num_edges * self.in_dim
@@ -257,10 +261,7 @@ class CommNetLayer(GNNLayer):
         self.activation = activation
 
     def aggregate(self, block: Block, h: Tensor) -> Tensor:
-        messages = ops.gather_rows(h, block.edge_src)
-        total = ops.scatter_add_rows(messages, block.edge_dst, block.num_dst)
-        inv_deg = 1.0 / np.maximum(block.in_degrees(), 1)
-        return ops.mul(total, Tensor(inv_deg.reshape(-1, 1)))
+        return _mean_aggregate(block, h)
 
     def update(self, block: Block, agg: Tensor, h_dst: Tensor) -> Tensor:
         out = ops.add(self.self_linear(h_dst), self.comm_linear(agg))

@@ -138,6 +138,12 @@ class TestCompare:
 
 
 class TestMain:
+    def test_help_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            tool.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "(default 15%)" in capsys.readouterr().out
+
     def test_gate_passes_and_fails_by_exit_code(self, results_dir):
         write_result(results_dir, "smoke", {"makespan_seconds": 1.0})
         path = write_baseline(results_dir, {"smoke":

@@ -44,6 +44,20 @@ class TestPlanInvariants:
         assert plan.num_batches == partitioned.num_chunks
         assert plan.num_gpus == partitioned.num_partitions
 
+    def test_repeated_positions_rejected_at_build(self, partitioned,
+                                                 monkeypatch):
+        """The executor scatters gradients with a plain indexed ``+=``,
+        exact only for unique positions — so the plan build checks it."""
+        from repro.comm import plan as plan_module
+
+        monkeypatch.setattr(
+            plan_module, "_assign_positions",
+            lambda transition, *args: np.zeros(len(transition),
+                                               dtype=np.int64),
+        )
+        with pytest.raises(CommunicationPlanError, match="repeat"):
+            build_comm_plan(partitioned)
+
     def test_transitions_partition_batch_union(self, partitioned):
         plan = build_comm_plan(partitioned)
         assignment = partitioned.assignment

@@ -55,6 +55,16 @@ class TestBlock:
             Block(edge_src=np.array([0]), edge_dst=np.array([3]),
                   num_dst=1, num_src=2, dst_pos=np.array([0]))
 
+    def test_edges_not_destination_major(self):
+        with pytest.raises(GraphFormatError):
+            Block(edge_src=np.array([0, 1]), edge_dst=np.array([1, 0]),
+                  num_dst=2, num_src=2, dst_pos=np.array([0, 1]))
+
+    def test_dst_pos_repeats(self):
+        with pytest.raises(GraphFormatError):
+            Block(edge_src=np.array([0]), edge_dst=np.array([0]),
+                  num_dst=2, num_src=2, dst_pos=np.array([1, 1]))
+
     def test_dst_pos_length(self):
         with pytest.raises(GraphFormatError):
             Block(edge_src=np.array([0]), edge_dst=np.array([0]),
@@ -168,6 +178,94 @@ class TestCacheableAggregates:
         np.testing.assert_allclose(
             agg(a) + agg(b), agg(a + b), atol=1e-10
         )
+
+
+LINEAR_AGGREGATE_LAYERS = CACHEABLE_LAYERS + [GGNNLayer]
+WEIGHTED_LAYERS = (GCNLayer, GGNNLayer)
+MEAN_LAYERS = (GraphSAGELayer, CommNetLayer)
+
+
+def oracle_blocks(weighted):
+    """A block with multi-edges and an isolated destination, and an
+    edge-less block; ``weighted`` attaches constant edge weights."""
+    edge_src = np.array([0, 3, 3, 1, 4, 2, 4, 4, 0])
+    edge_dst = np.array([0, 0, 0, 1, 1, 3, 3, 3, 3])
+    weights = np.random.default_rng(7).random(len(edge_src))
+    return [
+        Block(edge_src=edge_src, edge_dst=edge_dst, num_dst=4, num_src=6,
+              dst_pos=np.array([5, 0, 2, 1]),
+              edge_weight=weights if weighted else None),
+        Block(edge_src=np.empty(0, dtype=np.int64),
+              edge_dst=np.empty(0, dtype=np.int64), num_dst=3, num_src=4,
+              dst_pos=np.array([0, 1, 2]),
+              edge_weight=np.empty(0) if weighted else None),
+    ]
+
+
+def inv_degree(block):
+    return (1.0 / np.maximum(block.in_degrees(), 1)).reshape(-1, 1)
+
+
+def reference_aggregate(layer, block, x):
+    """Per-edge gather + ``np.add.at`` reference for a linear aggregate."""
+    rows = x @ layer.message.weight.data if isinstance(layer, GGNNLayer) else x
+    messages = rows[block.edge_src]
+    if block.edge_weight is not None and isinstance(layer, WEIGHTED_LAYERS):
+        messages = messages * block.edge_weight.reshape(-1, 1)
+    out = np.zeros((block.num_dst, rows.shape[1]), dtype=messages.dtype)
+    np.add.at(out, block.edge_dst, messages)
+    return out * inv_degree(block) if isinstance(layer, MEAN_LAYERS) else out
+
+
+def reference_edge_sum_adjoint(layer, block, grad_agg):
+    """Per-edge ``np.add.at`` scatter of ∇agg back onto the summed rows."""
+    if isinstance(layer, MEAN_LAYERS):
+        grad_agg = grad_agg * inv_degree(block)
+    grad_messages = grad_agg[block.edge_dst]
+    if block.edge_weight is not None and isinstance(layer, WEIGHTED_LAYERS):
+        grad_messages = grad_messages * block.edge_weight.reshape(-1, 1)
+    out = np.zeros((block.num_src, grad_agg.shape[1]),
+                   dtype=grad_messages.dtype)
+    np.add.at(out, block.edge_src, grad_messages)
+    return out
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("layer_cls", LINEAR_AGGREGATE_LAYERS)
+class TestLinearAggregateOracle:
+    """The SpMM aggregates are bit-identical to per-edge ``np.add.at``."""
+
+    def test_matches_per_edge_reference_exactly(self, layer_cls, weighted,
+                                                rng):
+        layer = layer_cls(3, 5, rng)
+        for block in oracle_blocks(weighted):
+            x = rng.standard_normal((block.num_src, 3))
+            x_t = Tensor(x, requires_grad=True)
+            agg = layer.aggregate(block, x_t)
+            grad_agg = rng.standard_normal(agg.shape)
+            agg.backward(grad_agg)
+
+            adjoint = reference_edge_sum_adjoint(layer, block, grad_agg)
+            expected_grad = (adjoint @ layer.message.weight.data.T
+                             if isinstance(layer, GGNNLayer) else adjoint)
+            assert np.array_equal(agg.data, reference_aggregate(layer, block, x))
+            assert np.array_equal(x_t.grad, expected_grad)
+            if layer.cacheable_aggregate:
+                assert np.array_equal(
+                    layer.aggregate_backward(block, grad_agg), adjoint)
+
+    def test_float32_keeps_output_dtype(self, layer_cls, weighted, rng):
+        layer = layer_cls(3, 5, rng, dtype=np.float32)
+        block = oracle_blocks(weighted)[0]
+        x = rng.standard_normal((block.num_src, 3)).astype(np.float32)
+        agg = layer.aggregate(block, Tensor(x))
+        assert agg.dtype == reference_aggregate(layer, block, x).dtype
+        if isinstance(layer, GINLayer) or (
+                isinstance(layer, GCNLayer) and not weighted):
+            assert agg.dtype == np.float32  # unweighted sums never upcast
+        if layer.cacheable_aggregate:
+            grad_agg = rng.standard_normal(agg.shape).astype(np.float32)
+            assert layer.aggregate_backward(block, grad_agg).dtype == np.float32
 
 
 class TestGAT:

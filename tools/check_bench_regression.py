@@ -204,14 +204,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         default=DEFAULT_TOLERANCE,
         help="allowed relative growth of lower-is-better metrics "
-        f"(default {DEFAULT_TOLERANCE:.0%})",
+        f"(default {DEFAULT_TOLERANCE * 100:.0f}%%)",
     )
     parser.add_argument(
         "--wall-tolerance",
         type=float,
         default=DEFAULT_WALL_TOLERANCE,
         help="allowed relative growth of *wall_seconds metrics "
-        f"(simulator wall clock; default {DEFAULT_WALL_TOLERANCE:.0%})",
+        f"(simulator wall clock; default {DEFAULT_WALL_TOLERANCE * 100:.0f}%%)",
     )
     parser.add_argument(
         "--baseline",
